@@ -15,8 +15,10 @@
 //! | `ablations` | design choices | MaxDataSchedule, DHT arity, pool size, BT efficiency |
 //!
 //! Criterion microbenches live in `benches/`. Absolute numbers differ from
-//! the paper (different hardware, simulated network); EXPERIMENTS.md tracks
-//! the shape comparisons that are expected to hold.
+//! the paper (different hardware, simulated network); each binary prints
+//! the shape comparisons expected to hold. The end-to-end workloads that
+//! gate performance are declared in `BENCHMARK.json` and run by
+//! `perfbench/run.py`.
 
 #![warn(missing_docs)]
 

@@ -34,7 +34,8 @@
 //!   ([`touch_host`](crate::ShardedScheduler::touch_host) for liveness,
 //!   [`announce_owner`](crate::ShardedScheduler::announce_owner) for
 //!   complete replicas, chunk-set reports for partial bitmaps), and scrape
-//!   service. Counters land in [`SyncProfile`](crate::shard::SyncProfile).
+//!   service. Counters are read through
+//!   [`ServiceContainer::announce_stats`](crate::ServiceContainer::announce_stats).
 //! * [`AnnounceClient`] — a node-side socket that handshakes once, then
 //!   emits one datagram per held datum alongside — then instead of — the
 //!   TCP catalog sync (see `BitdewNode`'s heartbeat), and scrapes peers to
@@ -412,8 +413,8 @@ impl HostCache {
     }
 }
 
-/// Monotonic counters of one [`AnnounceServer`]'s lifetime, mirrored into
-/// [`SyncProfile`](crate::shard::SyncProfile) by the driving runtime.
+/// Monotonic counters of one [`AnnounceServer`]'s lifetime, read through
+/// [`ServiceContainer::announce_stats`](crate::ServiceContainer::announce_stats).
 #[derive(Default)]
 pub struct AnnounceStats {
     announces_rx: AtomicU64,

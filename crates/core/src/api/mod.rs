@@ -45,12 +45,11 @@
 //!   [`ActiveDataEventHandler`](crate::events::ActiveDataEventHandler)
 //!   callbacks, and explicit [`Backpressure`] modes (block the publisher,
 //!   shed the newest, queue unboundedly) with per-subscription
-//!   `dropped()`/`blocked()`/`deferred()` accounting. The old
-//!   `poll_events` drain survives as a compatibility shim over an
-//!   any-filter subscription. Node-side publishes (the heartbeat's
-//!   synchronization round) never park on a full `Block` subscriber: the
-//!   event goes to that subscriber's deferral queue and is retried on the
-//!   next round, so one slow consumer cannot stall the sync plane.
+//!   `dropped()`/`blocked()`/`deferred()` accounting. Node-side publishes
+//!   (the heartbeat's synchronization round) never park on a full `Block`
+//!   subscriber: the event goes to that subscriber's deferral queue and is
+//!   retried on the next round, so one slow consumer cannot stall the sync
+//!   plane.
 //!
 //! ## The executor pool and the async façade
 //!
@@ -315,8 +314,7 @@ impl From<AttrError> for BitdewError {
 pub type Result<T> = std::result::Result<T, BitdewError>;
 
 /// A data life-cycle event observed on a node, as delivered through the
-/// subscription bus ([`ActiveData::subscribe`]) and the legacy
-/// [`ActiveData::poll_events`] shim.
+/// subscription bus ([`ActiveData::subscribe`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataEvent {
     /// Which life-cycle transition happened.
@@ -529,14 +527,6 @@ pub trait ActiveData {
     /// per-datum callbacks don't accumulate on a long-running node.
     fn remove_handler(&self, id: HandlerId);
 
-    /// Drain the life-cycle events observed since the last poll, oldest
-    /// first.
-    ///
-    /// **Compatibility shim**: this is an any-filter subscription drained
-    /// in place; new code should [`subscribe`](ActiveData::subscribe) with
-    /// a filter instead and react per datum/name/kind.
-    fn poll_events(&self) -> Vec<DataEvent>;
-
     /// This node's identity in the scheduler's host space.
     fn host_uid(&self) -> HostUid;
 }
@@ -708,9 +698,6 @@ macro_rules! delegate_api {
             }
             fn remove_handler(&self, id: HandlerId) {
                 (**self).remove_handler(id)
-            }
-            fn poll_events(&self) -> Vec<DataEvent> {
-                (**self).poll_events()
             }
             fn host_uid(&self) -> HostUid {
                 (**self).host_uid()

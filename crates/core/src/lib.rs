@@ -21,8 +21,7 @@
 //! * [`ActiveData`] — attribute-driven scheduling: `schedule`/
 //!   `schedule_many`, `pin`, and the data life-cycle events, consumed
 //!   through filtered [`subscribe`](ActiveData::subscribe) subscriptions
-//!   and [`add_handler`](ActiveData::add_handler) callbacks (the legacy
-//!   global `poll_events` drain survives as a compatibility shim).
+//!   and [`add_handler`](ActiveData::add_handler) callbacks.
 //! * [`TransferManager`] — transfer control: `wait_for`, non-blocking
 //!   `try_wait`, batched `wait_all`, `barrier`, and `pump` — waits park on
 //!   condvars and wake on completion instead of spin-polling.

@@ -49,9 +49,7 @@ use crate::api::{
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
-use crate::chunks::{
-    ChunkHoldings, ChunkManifest, ChunkStore, MultiSourceFetcher, DEFAULT_CHUNK_SIZE,
-};
+use crate::chunks::{ChunkHoldings, ChunkManifest, ChunkStore, MultiSourceFetcher};
 use crate::data::{Data, DataId, Locator};
 use crate::events::ActiveDataEventHandler;
 use crate::services::catalog::DbAccess;
@@ -59,7 +57,7 @@ use crate::services::repository::DataRepository;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{DataTransfer, TransferBuilder, TransferId, TransferState};
 use crate::shard::{ShardedPlane, SyncProfile};
-use crate::versions::{split_writes, versioned_object, GcReport, Snapshot, VersionedManifest};
+use crate::versions::{GcReport, Snapshot, VersionPlane, VersionedManifest};
 
 /// Discovery-plane (UDP announce) tuning — see [`crate::announce`].
 #[derive(Debug, Clone)]
@@ -390,15 +388,6 @@ pub struct SyncSummary {
     pub deleted: Vec<DataId>,
 }
 
-/// Cap on the legacy poll queue while NO consumer has ever polled — a
-/// node using only subscriptions and callbacks must not leak memory
-/// recording events nobody reads. Once `poll_events` has been called the
-/// queue is uncapped instead: for a polling consumer every Copy event is
-/// load-bearing and dropping one would stall the workload permanently.
-/// (Explicit [`EventSub`] subscriptions are always lossless — their
-/// consumer provably exists.)
-pub(crate) const EVENT_QUEUE_CAP: usize = 4096;
-
 /// A volatile node (client or reservoir host).
 pub struct BitdewNode {
     /// This node's identity.
@@ -423,11 +412,6 @@ pub struct BitdewNode {
     /// observes is published here, routed to filtered subscriptions and
     /// handler callbacks.
     bus: EventBus,
-    /// The legacy `poll_events` queue: an any-filter subscription, capped
-    /// until the first poll proves a consumer exists.
-    legacy: EventSub,
-    /// Whether `poll_events` has ever been called (see [`EVENT_QUEUE_CAP`]).
-    polled: AtomicBool,
     /// Signaled when a synchronization round leaves no pending downloads
     /// (barrier waiters park on this instead of spinning).
     idle: Condvar,
@@ -495,8 +479,6 @@ impl BitdewNode {
         local: Arc<dyn FileStore>,
         role: SyncRole,
     ) -> Arc<BitdewNode> {
-        let bus = EventBus::new();
-        let legacy = bus.subscribe_capped(EventFilter::any(), EVENT_QUEUE_CAP);
         Arc::new(BitdewNode {
             uid: Auid::random(),
             container,
@@ -507,9 +489,7 @@ impl BitdewNode {
             repairing: Mutex::new(HashMap::new()),
             manifests: Mutex::new(HashMap::new()),
             peer_server: Mutex::new(None),
-            bus,
-            legacy,
-            polled: AtomicBool::new(false),
+            bus: EventBus::new(),
             idle: Condvar::new(),
             role,
             stop: AtomicBool::new(false),
@@ -613,12 +593,8 @@ impl BitdewNode {
     pub fn delete(&self, data: &Data) -> Result<()> {
         // Sweep the version plane's pre-image objects before the state
         // that knows about them is forgotten.
-        let state = self.container.plane.version_state();
         let store = self.container.repository.store();
-        let object = data.object_name();
-        for (birth, index, _) in state.preserved_inventory(data.id) {
-            let _ = store.remove(&versioned_object(&object, birth, index));
-        }
+        self.container.plane.version_state().purge(&**store, data);
         self.manifests.lock().remove(&data.id);
         self.held_versions.lock().remove(&data.id);
         self.container.plane.delete_catalog(data.id)?;
@@ -667,11 +643,6 @@ impl BitdewNode {
         chunk_size: u64,
     ) -> Result<ChunkManifest> {
         self.put(data, content)?;
-        let chunk_size = if chunk_size == 0 {
-            DEFAULT_CHUNK_SIZE
-        } else {
-            chunk_size
-        };
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
         self.container.plane.put_manifest(&manifest)?;
         self.manifests.lock().insert(data.id, manifest.clone());
@@ -938,26 +909,29 @@ impl BitdewNode {
     /// Write a byte range into a datum's data-space content. On a datum
     /// without a published manifest this is the raw repository range write
     /// (see [`DataRepository::put_range`] for the integrity contract). On
-    /// a *chunked* datum it is version-creating: the write commits through
-    /// [`BitdewNode::commit_update`] against the current head, retrying
-    /// internally on [`BitdewError::VersionConflict`] — concurrent
-    /// non-overlapping writers commit independently, overlapping writers
-    /// serialize last-writer-wins.
+    /// a *chunked* datum it is version-creating: the write commits against
+    /// the current head, retrying on [`BitdewError::VersionConflict`].
     pub fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
         if self.container.plane.version_head(data.id)? == 0 {
             return self.container.repository.put_range(data, offset, content);
         }
-        loop {
-            let base = self.container.plane.version_head(data.id)?;
-            match self.commit_update(data, base, &[(offset, content.to_vec())]) {
-                Ok(_) => return Ok(()),
-                Err(BitdewError::VersionConflict { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let version = self.versions().put_range(data, offset, content)?;
+        self.note_commit(data.id, version);
+        Ok(())
     }
 
     // --- Version plane ----------------------------------------------------
+
+    /// The version plane over this deployment's sharded catalog, shared
+    /// version state and repository store.
+    fn versions(&self) -> VersionPlane<'_, ShardedPlane> {
+        let plane = &*self.container.plane;
+        VersionPlane {
+            catalog: plane,
+            state: plane.version_state(),
+            store: &**self.container.repository.store(),
+        }
+    }
 
     /// The datum's current head version (0 = never chunked, 1 = base
     /// manifest only). See [`crate::versions`].
@@ -967,156 +941,44 @@ impl BitdewNode {
 
     /// One row of the datum's version chain (1 = the base manifest).
     pub fn version_manifest(&self, id: DataId, version: u64) -> Result<Option<VersionedManifest>> {
-        self.container.plane.version_manifest(id, version)
+        self.versions().version_manifest(id, version)
     }
 
     /// Record that this node's local bytes of `id` now correspond to the
     /// current head version (after a publish, commit, pin or repair).
     fn note_held_version(&self, id: DataId) {
-        if let Ok(head) = self.container.plane.version_head(id) {
-            if head > 0 {
-                self.held_versions.lock().insert(id, head);
-            }
+        if let Ok(head @ 1..) = self.container.plane.version_head(id) {
+            self.held_versions.lock().insert(id, head);
         }
+    }
+
+    /// This node wrote `version` of `id`: its cached base manifest is
+    /// stale and its bytes are that version's.
+    fn note_commit(&self, id: DataId, version: u64) {
+        self.manifests.lock().remove(&id);
+        self.held_versions.lock().insert(id, version);
     }
 
     /// Commit `writes` against version `base` of a chunked datum — the
-    /// version plane's write face (see [`crate::versions`] for the full
-    /// protocol). Only the chunks the writes touch are read back, patched
-    /// and re-digested; their pre-images are preserved under per-chunk
-    /// `object@v{birth}.c{index}` names before the head CAS publishes the
-    /// new [`VersionedManifest`] row and the canonical bytes move. Returns
-    /// the committed version id; a retryable
+    /// version plane's write face (see [`crate::versions`]).
+    /// Returns the committed version id; a retryable
     /// [`BitdewError::VersionConflict`] means a concurrent writer touched
     /// one of the same chunks first.
     pub fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
-        let plane = &self.container.plane;
-        let head = plane.version_head(data.id)?;
-        if base == 0 || head == 0 || base > head {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("version {base} of `{}` (head {head})", data.name),
-            });
-        }
-        let resolved =
-            plane
-                .resolve_version(data.id, base)?
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
-        let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
-        let state = plane.version_state();
-        let store = self.container.repository.store();
-        let object = data.object_name();
-
-        // Take the per-chunk commit locks in ascending index order:
-        // disjoint writers proceed in parallel, same-chunk writers
-        // serialize here instead of racing the byte I/O.
-        let locks: Vec<_> = by_chunk
-            .keys()
-            .map(|&i| state.chunk_lock(data.id, i))
-            .collect();
-        let _guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
-
-        // Under the locks the canonical bytes of every touched chunk are
-        // settled; if any chunk's settled birth is newer than what `base`
-        // resolves, a later version already rewrote it — conflict now,
-        // before any byte moves.
-        for &index in by_chunk.keys() {
-            let birth = resolved
-                .birth_of(index)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk {index} of `{}`", data.name),
-                })?;
-            if state.settled_birth(data.id, index) != birth {
-                return Err(BitdewError::VersionConflict {
-                    head,
-                    attempted: base,
-                });
-            }
-        }
-
-        let crc = bitdew_storage::crc32::crc32;
-        let mut changed = Vec::with_capacity(by_chunk.len());
-        let mut patched_chunks = Vec::with_capacity(by_chunk.len());
-        for (&index, segments) in &by_chunk {
-            let desc = *resolved.descriptor(index).expect("checked above");
-            let birth = resolved.birth_of(index).expect("checked above");
-            let chunk_off = index as u64 * resolved.chunk_size;
-            let current = store.read_at(&object, chunk_off, desc.len as usize)?;
-            // Preserve the pre-image before anything overwrites it. The
-            // claim is idempotent: if an earlier (conflicted or committed)
-            // writer already copied birth's bytes, that copy is still
-            // valid — canonical chunk bytes only move under this lock.
-            if state.claim_preserve(data.id, birth, index, desc.len) {
-                store.write_at(&versioned_object(&object, birth, index), 0, &current)?;
-                state.mark_preserved(data.id, birth, index);
-            }
-            let mut patched = current.to_vec();
-            for seg in segments {
-                let (_, bytes) = &writes[seg.write];
-                patched[seg.chunk_offset..seg.chunk_offset + (seg.end - seg.start)]
-                    .copy_from_slice(&bytes[seg.start..seg.end]);
-            }
-            changed.push(crate::chunks::ChunkDescriptor {
-                index,
-                len: desc.len,
-                crc32: crc(&patched),
-            });
-            patched_chunks.push((index, chunk_off, patched));
-        }
-
-        // Publish through the head CAS. With the chunk locks held this can
-        // only conflict against a writer that bypassed the node layer.
-        let committed = plane.publish_version(&VersionedManifest {
-            data: data.id,
-            version: base + 1,
-            parent: base,
-            chunk_size: resolved.chunk_size,
-            total: resolved.total,
-            changed,
-        })?;
-
-        // Only a committed writer moves the canonical bytes; settle each
-        // chunk at the new version before the locks release.
-        for (index, chunk_off, bytes) in patched_chunks {
-            store.write_at(&object, chunk_off, &bytes)?;
-            state.settle(data.id, index, committed.version);
-        }
-        self.manifests.lock().remove(&data.id);
-        self.held_versions.lock().insert(data.id, committed.version);
-        Ok(committed.version)
+        let version = self.versions().commit_update(data, base, writes)?;
+        self.note_commit(data.id, version);
+        Ok(version)
     }
 
-    /// Open a [`Snapshot`] pinned to the datum's current head version:
-    /// [`BitdewNode::get_range_at`] reads through it see the datum as of
-    /// this call no matter how many versions commit afterwards, and the
-    /// pin keeps the snapshot's pre-image chunks from
-    /// [`BitdewNode::gc_versions`] until it drops.
+    /// Open a [`Snapshot`] pinned to the datum's current head version: the
+    /// pin keeps its pre-images from [`BitdewNode::gc_versions`] until it
+    /// drops.
     pub fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-        let plane = &self.container.plane;
-        let head = plane.version_head(data.id)?;
-        if head == 0 {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            });
-        }
-        let pin = plane.version_state().pin(data.id, head);
-        let resolved =
-            plane
-                .resolve_version(data.id, head)?
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
-        Ok(Snapshot::new(resolved, pin))
+        self.versions().open_snapshot(data)
     }
 
     /// Read bytes `[offset, offset+len)` of `data` *as of* `snap`'s pinned
-    /// version (short only at EOF). Each overlapping chunk resolves
-    /// through the version tree: a chunk superseded since the snapshot
-    /// reads from its preserved per-chunk pre-image object, an unchanged
-    /// chunk from the shared canonical object — with a preserve re-check
-    /// after the canonical read, so a commit racing this read can never
-    /// leak post-snapshot bytes.
+    /// version (short only at EOF).
     pub fn get_range_at(
         &self,
         data: &Data,
@@ -1124,75 +986,14 @@ impl BitdewNode {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let rv = snap.resolved();
-        let len = len.min(rv.total.saturating_sub(offset) as usize);
-        let state = self.container.plane.version_state();
-        let store = self.container.repository.store();
-        let object = data.object_name();
-        let mut out = Vec::with_capacity(len);
-        let end = offset + len as u64;
-        for (index, birth) in rv.overlapping(offset, len) {
-            let desc = rv.descriptor(index).expect("overlapping is in range");
-            let chunk_start = index as u64 * rv.chunk_size;
-            let seg_start = offset.max(chunk_start);
-            let seg_end = end.min(chunk_start + desc.len as u64);
-            let seg_len = (seg_end - seg_start) as usize;
-            // Pre-image objects hold only their chunk's bytes, offset 0.
-            let within = seg_start - chunk_start;
-            let bytes = if state.is_preserved(data.id, birth, index) {
-                store.read_at(&versioned_object(&object, birth, index), within, seg_len)?
-            } else {
-                let canonical = store.read_at(&object, seg_start, seg_len)?;
-                if state.is_preserved(data.id, birth, index) {
-                    // A commit preserved (and possibly overwrote) the chunk
-                    // while we read it — the pre-image is authoritative.
-                    store.read_at(&versioned_object(&object, birth, index), within, seg_len)?
-                } else {
-                    canonical
-                }
-            };
-            out.extend_from_slice(&bytes);
-        }
-        Ok(out)
+        self.versions().get_range_at(data, snap, offset, len)
     }
 
     /// Reference-counted GC sweep over the datum's preserved pre-image
     /// chunks: everything unreachable from the head and from every open
-    /// snapshot is reclaimed, and each reclaimed chunk's pre-image object
-    /// is removed from the repository store.
+    /// snapshot is reclaimed.
     pub fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-        let plane = &self.container.plane;
-        let state = plane.version_state();
-        // No commits move the head (or preserve new chunks) mid-sweep.
-        let _commit = state.commit_lock();
-        let head = plane.version_head(data.id)?;
-        let mut live_versions: Vec<u64> = state.pinned(data.id);
-        if head > 0 && !live_versions.contains(&head) {
-            live_versions.push(head);
-            live_versions.sort_unstable();
-        }
-        let mut live = Vec::with_capacity(live_versions.len());
-        for &v in &live_versions {
-            if let Some(rv) = plane.resolve_version(data.id, v)? {
-                live.push(rv);
-            }
-        }
-        let store = self.container.repository.store();
-        let object = data.object_name();
-        let mut report = GcReport {
-            live_versions,
-            ..GcReport::default()
-        };
-        for (birth, index, len) in
-            crate::versions::gc_plan(&live, &state.preserved_inventory(data.id))
-        {
-            report.chunks_reclaimed += 1;
-            report.bytes_reclaimed += len as u64;
-            state.reclaim(data.id, birth, index);
-            let _ = store.remove(&versioned_object(&object, birth, index));
-            report.objects_removed += 1;
-        }
-        Ok(report)
+        self.versions().gc_versions(data)
     }
 
     /// Manifest-aware partial pin: verify which of the claimed chunk
@@ -1315,17 +1116,6 @@ impl BitdewNode {
     /// This node's event bus (publish statistics, ad-hoc subscriptions).
     pub fn event_bus(&self) -> &EventBus {
         &self.bus
-    }
-
-    /// Drain buffered life-cycle events (oldest first). Compatibility
-    /// shim over an any-filter subscription — new code should
-    /// [`BitdewNode::subscribe`] with a filter instead.
-    pub fn poll_events(&self) -> Vec<DataEvent> {
-        if !self.polled.swap(true, Ordering::Relaxed) {
-            // A consumer exists: stop dropping oldest events.
-            self.legacy.uncap();
-        }
-        self.legacy.drain()
     }
 
     // --- TransferManager API ----------------------------------------------
@@ -1754,16 +1544,8 @@ impl BitdewNode {
             self.idle.notify_all();
         }
         // Record the round's work profile, charging it with the events
-        // this round's publishes deferred instead of parking on. The
-        // discovery-plane counters are container-lifetime totals (the
-        // announce server serves every node), fallback_syncs this node's.
+        // this round's publishes deferred instead of parking on.
         profile.deferred_events = self.bus.deferred_events() - deferred_before;
-        if let Some(stats) = self.container.announce_stats() {
-            profile.announces_rx = stats.announces_rx();
-            profile.scrapes_served = stats.scrapes_served();
-            profile.cache_evictions = stats.cache_evictions();
-        }
-        profile.fallback_syncs = self.fallback_syncs.load(Ordering::Relaxed);
         *self.last_profile.lock() = profile;
         if !(summary.completed.is_empty()
             && summary.started.is_empty()
@@ -1884,11 +1666,11 @@ impl BitdewNode {
     }
 
     fn fire(&self, kind: DataEventKind, data: &Data, attrs: &DataAttributes) {
-        // One publish reaches every consumer: filtered subscriptions (the
-        // legacy poll queue among them), then handler callbacks — the bus
-        // runs handlers with its lock released, so a handler calling back
-        // into this node (a worker's onDataCopy schedules its result,
-        // which fires onDataCreate) cannot deadlock. The *deferring*
+        // One publish reaches every consumer: filtered subscriptions, then
+        // handler callbacks — the bus runs handlers with its lock
+        // released, so a handler calling back into this node (a worker's
+        // onDataCopy schedules its result, which fires onDataCreate)
+        // cannot deadlock. The *deferring*
         // publish: a full `Block` subscriber defers this event to its
         // retry queue rather than parking the synchronization round (or a
         // client's schedule_many) on one slow consumer.
@@ -2055,9 +1837,6 @@ impl ActiveData for BitdewNode {
     fn remove_handler(&self, id: HandlerId) {
         BitdewNode::remove_handler(self, id)
     }
-    fn poll_events(&self) -> Vec<DataEvent> {
-        BitdewNode::poll_events(self)
-    }
     fn host_uid(&self) -> HostUid {
         self.uid
     }
@@ -2132,6 +1911,7 @@ impl Drop for NodeHandle {
 mod tests {
     use super::*;
     use crate::attr::{Lifetime, REPLICA_ALL};
+    use bitdew_transport::StoreError;
 
     fn quick_container() -> Arc<ServiceContainer> {
         ServiceContainer::start(RuntimeConfig::default())
@@ -2483,6 +2263,88 @@ mod tests {
         }
         assert!(announce_only > 0, "datagram rounds resumed after revival");
         assert_eq!(worker.fallback_syncs(), before);
+    }
+
+    /// A memory store whose `remove` fails while `fail_remove` is set.
+    #[derive(Default)]
+    struct FlakyRemove {
+        inner: MemStore,
+        fail_remove: AtomicBool,
+    }
+
+    impl FileStore for FlakyRemove {
+        fn read_at(
+            &self,
+            name: &str,
+            offset: u64,
+            len: usize,
+        ) -> std::result::Result<bytes::Bytes, StoreError> {
+            self.inner.read_at(name, offset, len)
+        }
+        fn write_at(
+            &self,
+            name: &str,
+            offset: u64,
+            data: &[u8],
+        ) -> std::result::Result<(), StoreError> {
+            self.inner.write_at(name, offset, data)
+        }
+        fn size(&self, name: &str) -> std::result::Result<u64, StoreError> {
+            self.inner.size(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn remove(&self, name: &str) -> std::result::Result<(), StoreError> {
+            if self.fail_remove.swap(false, Ordering::SeqCst) {
+                return Err(StoreError::Io(std::io::Error::other("injected")));
+            }
+            self.inner.remove(name)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+    }
+
+    #[test]
+    fn gc_keeps_a_preimage_whose_removal_failed_for_the_next_sweep() {
+        let store = Arc::new(FlakyRemove::default());
+        let c = ServiceContainer::start_on(
+            Fabric::new(),
+            Arc::clone(&store) as Arc<dyn FileStore>,
+            RuntimeConfig::default(),
+        );
+        let node = BitdewNode::new_client(c);
+        let data = node.create_slot("flaky", 4096).unwrap();
+        node.put_chunked(&data, &[3u8; 4096], 1024).unwrap();
+        node.commit_update(&data, 1, &[(0, vec![9u8; 16])]).unwrap();
+        let preimage = crate::versions::versioned_object(&data.object_name(), 1, 0);
+        assert!(store.exists(&preimage));
+
+        store.fail_remove.store(true, Ordering::SeqCst);
+        let first = node.gc_versions(&data).unwrap();
+        assert_eq!(
+            (
+                first.chunks_reclaimed,
+                first.objects_removed,
+                first.bytes_reclaimed
+            ),
+            (0, 0, 0),
+            "a failed removal is not reported as reclaimed"
+        );
+        assert!(store.exists(&preimage));
+
+        let second = node.gc_versions(&data).unwrap();
+        assert_eq!(
+            (
+                second.chunks_reclaimed,
+                second.objects_removed,
+                second.bytes_reclaimed
+            ),
+            (1, 1, 1024),
+            "the next sweep retries the chunk"
+        );
+        assert!(!store.exists(&preimage));
     }
 
     #[test]

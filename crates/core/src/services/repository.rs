@@ -65,8 +65,8 @@ impl DataRepository {
     }
 
     /// The repository's backing store.
-    pub fn store(&self) -> Arc<dyn FileStore> {
-        Arc::clone(&self.store)
+    pub fn store(&self) -> &Arc<dyn FileStore> {
+        &self.store
     }
 
     /// Copy `content` into the slot for `data`, verifying the declared

@@ -48,7 +48,9 @@ use crate::attr::{DataAttributes, Lifetime};
 use crate::data::{Data, DataId, Locator};
 use crate::services::catalog::{DataCatalog, DbAccess};
 use crate::services::scheduler::{DataScheduler, HostUid, SyncReply, SyncRole};
-use crate::versions::{commit_version, ResolvedVersion, VersionState, VersionedManifest};
+use crate::versions::{
+    commit_row, ResolvedVersion, VersionCatalog, VersionState, VersionedManifest,
+};
 
 /// Maps data identifiers onto shards by partitioning the DHT ring.
 ///
@@ -143,20 +145,6 @@ pub struct SyncProfile {
     /// its publish phase (the threaded heartbeat does; the single-threaded
     /// simulator never defers, so it stays 0 there).
     pub deferred_events: u64,
-    /// Announce datagrams the discovery plane's server has accepted so far
-    /// (verified connection-id, counted once per datagram). Filled by the
-    /// driving runtime from its [`AnnounceServer`](crate::AnnounceServer)
-    /// stats; 0 when the UDP plane is disabled.
-    pub announces_rx: u64,
-    /// Scrape requests the discovery plane's server has answered so far.
-    pub scrapes_served: u64,
-    /// Announce-cache entries the TTL sweep has expired so far (each one a
-    /// holding forgotten without waiting for catalog sync).
-    pub cache_evictions: u64,
-    /// Heartbeat rounds this host downgraded from UDP announce to a full
-    /// TCP catalog sync because the datagram path was down or the handshake
-    /// failed — the graceful-degradation counter.
-    pub fallback_syncs: u64,
 }
 
 impl SyncProfile {
@@ -699,11 +687,6 @@ impl ShardedPlane {
         Ok(head)
     }
 
-    /// One row of a datum's version chain (1 = the base manifest).
-    pub fn version_manifest(&self, id: DataId, version: u64) -> Result<Option<VersionedManifest>> {
-        self.catalog_for(id).version(id, version)
-    }
-
     /// Resolve `version` of a datum through its chain: the base manifest
     /// plus every delta row ≤ `version`, with per-chunk birth versions.
     pub fn resolve_version(&self, id: DataId, version: u64) -> Result<Option<ResolvedVersion>> {
@@ -731,31 +714,18 @@ impl ShardedPlane {
     /// The per-datum version-head CAS, the only writer of `dc_version`
     /// rows. `row.version` is advisory (the id is assigned here); `parent`
     /// is the base the writer resolved against. Under the plane-wide
-    /// commit lock: re-read the head, run [`commit_version`] against the
-    /// intervening rows' changed sets (fast path / auto-rebase /
+    /// commit lock: re-read the head, run the
+    /// [`commit_version`](crate::versions::commit_version) CAS against the
+    /// committed rows (fast path / auto-rebase /
     /// [`VersionConflict`](crate::BitdewError::VersionConflict)), persist
     /// the row and advance the head. Returns the committed row with its
     /// assigned version id and effective parent.
     pub fn publish_version(&self, row: &VersionedManifest) -> Result<VersionedManifest> {
         let _commit = self.versions.commit_lock();
         let head = self.version_head(row.data)?;
-        let mut changed = row.changed_indices();
-        changed.sort_unstable();
-        let intervening: Vec<Vec<u32>> = self
-            .catalog_for(row.data)
-            .versions(row.data)?
-            .iter()
-            .filter(|r| r.version > row.parent && r.version <= head)
-            .map(|r| r.changed_indices())
-            .collect();
-        let version = commit_version(head, row.parent, &changed, intervening)?;
-        let committed = VersionedManifest {
-            version,
-            parent: head,
-            ..row.clone()
-        };
+        let committed = commit_row(head, &self.catalog_for(row.data).versions(row.data)?, row)?;
         self.catalog_for(row.data).put_version(&committed)?;
-        self.versions.set_head(row.data, version);
+        self.versions.set_head(row.data, committed.version);
         Ok(committed)
     }
 
@@ -769,6 +739,22 @@ impl ShardedPlane {
     /// Successful registrations across every catalog shard.
     pub fn registrations(&self) -> u64 {
         self.catalogs.iter().map(|c| c.registrations()).sum()
+    }
+}
+
+/// The threaded backend's version catalog: the `dc_manifest` base row and
+/// `dc_version` chain of the datum's catalog shard.
+impl VersionCatalog for ShardedPlane {
+    fn head(&self, id: DataId) -> Result<u64> {
+        self.version_head(id)
+    }
+
+    fn resolve(&self, id: DataId, version: u64) -> Result<Option<ResolvedVersion>> {
+        self.resolve_version(id, version)
+    }
+
+    fn publish(&self, row: &VersionedManifest) -> Result<VersionedManifest> {
+        self.publish_version(row)
     }
 }
 

@@ -43,6 +43,8 @@ use std::time::Duration;
 use bitdew_sim::{
     every, FlowNet, FlowOutcome, HostId, Sim, SimDuration, SimTime, Trace, TraceEvent,
 };
+use bitdew_storage::codec::Encode;
+use bitdew_transport::{FileStore, MemStore};
 use bitdew_util::Auid;
 
 use crate::announce::{HostCache, FLAG_COMPLETE, FLAG_SERVING};
@@ -52,15 +54,15 @@ use crate::api::{
 };
 use crate::attr::DataAttributes;
 use crate::attrparse;
-use crate::chunks::{ChunkDescriptor, ChunkHoldings, ChunkManifest, DEFAULT_CHUNK_SIZE};
+use crate::chunks::{ChunkHoldings, ChunkManifest};
 use crate::data::{Data, DataId};
 use crate::events::ActiveDataEventHandler;
 use crate::services::scheduler::{HostUid, SyncRole};
 use crate::services::transfer::{TransferId, TransferState};
 use crate::shard::ShardedScheduler;
 use crate::versions::{
-    commit_version, gc_plan, head_valid_subset, split_writes, GcReport, PinRegistry,
-    ResolvedVersion, Snapshot, SnapshotPin, VersionedManifest,
+    commit_row, head_valid_subset, GcReport, ResolvedVersion, Snapshot, VersionCatalog,
+    VersionPlane, VersionState, VersionedManifest,
 };
 
 /// Called when a node finishes downloading a datum.
@@ -205,11 +207,39 @@ struct NodeState {
     rounds: u64,
 }
 
-/// A datum registered in the simulated data space: metadata plus (when the
-/// application `put` real bytes) its content.
-struct SpaceEntry {
-    data: Data,
-    content: Option<Vec<u8>>,
+/// The simulated version catalog: the published base manifests plus the
+/// delta rows of mutated data.
+#[derive(Default)]
+struct SimCatalog {
+    /// Published chunk manifests: data listed here move as per-chunk flows
+    /// work-stolen across every live replica owner.
+    manifests: HashMap<DataId, ChunkManifest>,
+    /// Version chains of mutated chunked data: the `dc_version` rows
+    /// (versions ≥ 2), ascending. A manifest-backed datum with no rows is
+    /// at version 1; unchunked data have no versions at all.
+    rows: HashMap<DataId, Vec<VersionedManifest>>,
+}
+
+impl SimCatalog {
+    /// The datum's version head: 0 = never chunked, 1 = base manifest
+    /// only, ≥ 2 = mutated (last delta row).
+    fn head(&self, id: DataId) -> u64 {
+        if !self.manifests.contains_key(&id) {
+            return 0;
+        }
+        self.rows(id).last().map(|row| row.version).unwrap_or(1)
+    }
+
+    fn rows(&self, id: DataId) -> &[VersionedManifest] {
+        self.rows.get(&id).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Walk the datum's version chain up to `version`; `None` when no
+    /// manifest exists.
+    fn resolve(&self, id: DataId, version: u64) -> Option<ResolvedVersion> {
+        let base = self.manifests.get(&id)?;
+        Some(ResolvedVersion::resolve(base, self.rows(id), version))
+    }
 }
 
 struct DriverState {
@@ -217,10 +247,9 @@ struct DriverState {
     nodes: HashMap<HostUid, NodeState>,
     by_host: HashMap<HostId, HostUid>,
     copy_hook: Option<CopyHook>,
-    data_names: HashMap<DataId, String>,
-    /// The simulated data space (what the DC + DR hold in the threaded
-    /// runtime): registered data and their `put` content.
-    space: HashMap<DataId, SpaceEntry>,
+    /// The simulated data space's catalog (what the DC holds in the
+    /// threaded runtime); `put` content lives in [`SimBitdew`]'s store.
+    space: HashMap<DataId, Data>,
     /// Monotonic ids for direct (`get`) transfers.
     next_transfer: u64,
     /// Per-shard service cost charged per synchronization item (cache
@@ -233,23 +262,18 @@ struct DriverState {
     shard_busy: Vec<SimTime>,
     /// Synchronizations fully served (their shard work finished).
     syncs_served: u64,
-    /// Published chunk manifests: data listed here move as per-chunk flows
-    /// work-stolen across every live replica owner.
-    manifests: HashMap<DataId, ChunkManifest>,
+    /// Chunk manifests and version chains.
+    catalog: SimCatalog,
+    /// The data space's bytes: each datum's `put` content under
+    /// [`Data::object_name`] plus the version plane's pre-image objects. A
+    /// datum never `put` models as `data.size` zero bytes.
+    store: Rc<MemStore>,
+    /// The version plane's pins, preserve ledger, chunk locks and settled
+    /// births.
+    versions: Rc<VersionState>,
     /// Partial holdings (host, datum) → exact held chunk set, for the
     /// chunk-level repair loop and the compute plane's locality checks.
     partials: HashMap<(HostUid, DataId), BTreeSet<u32>>,
-    /// Version chains of mutated chunked data: the `dc_version` rows
-    /// (versions ≥ 2), ascending. A manifest-backed datum with no rows is
-    /// at version 1; unchunked data have no versions at all.
-    version_rows: HashMap<DataId, Vec<VersionedManifest>>,
-    /// Preserved pre-image chunk bytes keyed by (datum, birth version) —
-    /// the sim face of the threaded runtime's per-chunk
-    /// `object@v{birth}.c{index}` preservation objects.
-    preserved: HashMap<(DataId, u64), HashMap<u32, Vec<u8>>>,
-    /// Snapshot pin registry shared with [`SnapshotPin`] guards; pinned
-    /// versions survive [`crate::api::BitDewApi::gc_versions`] sweeps.
-    pins: PinRegistry,
     /// (host, datum) → the version the host's bytes correspond to; a host
     /// behind the head announces stale and reads as a repair target.
     held_versions: HashMap<(HostUid, DataId), u64>,
@@ -273,29 +297,12 @@ struct DriverState {
 }
 
 impl DriverState {
-    /// The datum's version head: 0 = never chunked, 1 = base manifest
-    /// only, ≥ 2 = mutated (last `dc_version` row).
-    fn version_head(&self, id: DataId) -> u64 {
-        if !self.manifests.contains_key(&id) {
-            return 0;
+    /// Record that `uid`'s bytes of a chunked datum are at its head.
+    fn note_held(&mut self, uid: HostUid, id: DataId) {
+        let head = self.catalog.head(id);
+        if head > 0 {
+            self.held_versions.insert((uid, id), head);
         }
-        self.version_rows
-            .get(&id)
-            .and_then(|rows| rows.last())
-            .map(|row| row.version)
-            .unwrap_or(1)
-    }
-
-    /// Walk the datum's version chain up to `version` (see
-    /// [`ResolvedVersion::resolve`]); `None` when no manifest exists.
-    fn resolve_version(&self, id: DataId, version: u64) -> Option<ResolvedVersion> {
-        let base = self.manifests.get(&id)?;
-        let rows = self
-            .version_rows
-            .get(&id)
-            .map(|rows| rows.as_slice())
-            .unwrap_or(&[]);
-        Some(ResolvedVersion::resolve(base, rows, version))
     }
 }
 
@@ -343,18 +350,16 @@ impl SimBitdew {
                 nodes: HashMap::new(),
                 by_host: HashMap::new(),
                 copy_hook: None,
-                data_names: HashMap::new(),
                 space: HashMap::new(),
                 next_transfer: 1,
                 service_cost_per_item: SimDuration::ZERO,
                 service_cost_base: SimDuration::ZERO,
                 shard_busy: vec![SimTime::ZERO; shards.get()],
                 syncs_served: 0,
-                manifests: HashMap::new(),
+                catalog: SimCatalog::default(),
+                store: Rc::new(MemStore::default()),
+                versions: Rc::new(VersionState::new()),
                 partials: HashMap::new(),
-                version_rows: HashMap::new(),
-                preserved: HashMap::new(),
-                pins: PinRegistry::default(),
                 held_versions: HashMap::new(),
                 peer_chunk_flows: 0,
                 announce: None,
@@ -501,11 +506,7 @@ impl SimBitdew {
     /// Schedule a datum (the ActiveData `schedule` call).
     pub fn schedule_data(&self, data: Data, attrs: DataAttributes) {
         let mut st = self.state.borrow_mut();
-        st.data_names.insert(data.id, data.name.clone());
-        st.space.entry(data.id).or_insert_with(|| SpaceEntry {
-            data: data.clone(),
-            content: None,
-        });
+        st.space.entry(data.id).or_insert_with(|| data.clone());
         st.scheduler.schedule(data, attrs);
     }
 
@@ -513,27 +514,32 @@ impl SimBitdew {
     /// (the BitDew `createData` call).
     pub fn register_data(&self, data: &Data) {
         let mut st = self.state.borrow_mut();
-        st.data_names.insert(data.id, data.name.clone());
-        st.space.insert(
-            data.id,
-            SpaceEntry {
-                data: data.clone(),
-                content: None,
-            },
-        );
+        st.space.insert(data.id, data.clone());
     }
 
-    /// Store content for a registered datum (the BitDew `put` call).
-    pub fn put_content(&self, id: DataId, content: Vec<u8>) -> Result<()> {
-        let mut st = self.state.borrow_mut();
-        match st.space.get_mut(&id) {
-            Some(entry) => {
-                entry.content = Some(content);
-                Ok(())
-            }
-            None => Err(BitdewError::CatalogMiss {
+    /// A datum registered in the data space, or a catalog miss.
+    fn registered(&self, id: DataId) -> Result<Data> {
+        self.state
+            .borrow()
+            .space
+            .get(&id)
+            .cloned()
+            .ok_or_else(|| BitdewError::CatalogMiss {
                 what: format!("data {id}"),
-            }),
+            })
+    }
+
+    /// Bytes `[offset, offset+len)` of a datum's data-space content,
+    /// short at its end; a datum never `put` reads as `data.size` zeros.
+    fn read_space(&self, data: &Data, offset: u64, len: usize) -> Vec<u8> {
+        let object = data.object_name();
+        let store = Rc::clone(&self.state.borrow().store);
+        match store.size(&object) {
+            Ok(size) => store
+                .read_at(&object, offset.min(size), len)
+                .map(|b| b.to_vec())
+                .unwrap_or_default(),
+            Err(_) => vec![0u8; len.min(data.size.saturating_sub(offset) as usize)],
         }
     }
 
@@ -543,8 +549,8 @@ impl SimBitdew {
         let mut hits: Vec<Data> = st
             .space
             .values()
-            .filter(|e| e.data.name == name)
-            .map(|e| e.data.clone())
+            .filter(|d| d.name == name)
+            .cloned()
             .collect();
         hits.sort_by_key(|d| d.id);
         hits
@@ -553,9 +559,11 @@ impl SimBitdew {
     /// Remove a datum from the space and the scheduler (the `delete` call).
     pub fn delete_data(&self, id: DataId) {
         let mut st = self.state.borrow_mut();
-        st.space.remove(&id);
-        st.version_rows.remove(&id);
-        st.preserved.retain(|(d, _), _| *d != id);
+        if let Some(data) = st.space.remove(&id) {
+            st.versions.purge(&*st.store, &data);
+            let _ = st.store.remove(&data.object_name());
+        }
+        st.catalog.rows.remove(&id);
         st.held_versions.retain(|(_, d), _| *d != id);
         st.scheduler.delete_data(id);
     }
@@ -563,23 +571,8 @@ impl SimBitdew {
     /// Metadata and scheduling attributes of a datum, when known.
     fn lookup(&self, id: DataId) -> Option<(Data, DataAttributes)> {
         let st = self.state.borrow();
-        if let Some(attrs) = st.scheduler.attributes_of(id) {
-            if let Some(entry) = st.space.get(&id) {
-                return Some((entry.data.clone(), attrs));
-            }
-        }
-        st.space
-            .get(&id)
-            .map(|e| (e.data.clone(), DataAttributes::default()))
-    }
-
-    /// Content previously `put` for a datum, if any.
-    fn content_of(&self, id: DataId) -> Option<Vec<u8>> {
-        self.state
-            .borrow()
-            .space
-            .get(&id)
-            .and_then(|e| e.content.clone())
+        let data = st.space.get(&id)?.clone();
+        Some((data, st.scheduler.attributes_of(id).unwrap_or_default()))
     }
 
     /// Pending scheduled downloads of a node.
@@ -596,10 +589,7 @@ impl SimBitdew {
     pub fn pin(&self, data: DataId, uid: HostUid) {
         let mut st = self.state.borrow_mut();
         st.scheduler.pin(data, uid);
-        let head = st.version_head(data);
-        if head > 0 {
-            st.held_versions.insert((uid, data), head);
-        }
+        st.note_held(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
         }
@@ -612,12 +602,12 @@ impl SimBitdew {
         let mut st = self.state.borrow_mut();
         st.scheduler
             .set_chunk_total(manifest.data, manifest.chunk_count());
-        st.manifests.insert(manifest.data, manifest.clone());
+        st.catalog.manifests.insert(manifest.data, manifest.clone());
     }
 
     /// The published manifest of a datum, if any.
     pub fn manifest_of(&self, id: DataId) -> Option<ChunkManifest> {
-        self.state.borrow().manifests.get(&id).cloned()
+        self.state.borrow().catalog.manifests.get(&id).cloned()
     }
 
     /// Chunk flows served by peer replicas (rather than the service host)
@@ -632,7 +622,7 @@ impl SimBitdew {
     /// moves only the missing chunks.
     pub fn lose_chunks(&self, uid: HostUid, data: DataId, lost: u32) {
         let mut st = self.state.borrow_mut();
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.catalog.manifests.get(&data).map(|m| m.chunk_count()) else {
             return;
         };
         let held: BTreeSet<u32> = (0..total.saturating_sub(lost)).collect();
@@ -654,7 +644,7 @@ impl SimBitdew {
     pub fn pin_partial_set(&self, data: DataId, uid: HostUid, held: &[u32]) {
         let total = {
             let st = self.state.borrow();
-            st.manifests.get(&data).map(|m| m.chunk_count())
+            st.catalog.manifests.get(&data).map(|m| m.chunk_count())
         };
         let Some(total) = total else { return };
         let set: BTreeSet<u32> = held.iter().copied().filter(|&i| i < total).collect();
@@ -666,10 +656,7 @@ impl SimBitdew {
         let mut st = self.state.borrow_mut();
         st.partials.insert((uid, data), set);
         st.scheduler.report_chunk_set(uid, data, &report);
-        let head = st.version_head(data);
-        if head > 0 {
-            st.held_versions.insert((uid, data), head);
-        }
+        st.note_held(uid, data);
         if let Some(n) = st.nodes.get_mut(&uid) {
             n.cache.insert(data);
         }
@@ -683,7 +670,7 @@ impl SimBitdew {
         if let Some(set) = st.partials.get(&(uid, data)) {
             return set.iter().copied().collect();
         }
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.catalog.manifests.get(&data).map(|m| m.chunk_count()) else {
             return Vec::new();
         };
         let cached = st.nodes.get(&uid).is_some_and(|n| n.cache.contains(&data));
@@ -700,7 +687,7 @@ impl SimBitdew {
     /// the node's next heartbeat, as it would on the threaded runtime.
     fn absorb_chunks(&self, uid: HostUid, data: DataId, chunks: &[u32]) {
         let mut st = self.state.borrow_mut();
-        let Some(total) = st.manifests.get(&data).map(|m| m.chunk_count()) else {
+        let Some(total) = st.catalog.manifests.get(&data).map(|m| m.chunk_count()) else {
             return;
         };
         let already_full = !st.partials.contains_key(&(uid, data))
@@ -834,25 +821,10 @@ impl SimBitdew {
             // version; only the chunks unchanged since that version are
             // credited, so a stale holder leaves Ω and reads as a repair
             // target rather than a serving replica.
-            let head = if st.manifests.contains_key(&d) {
-                st.version_rows
-                    .get(&d)
-                    .and_then(|rows| rows.last())
-                    .map(|row| row.version)
-                    .unwrap_or(1)
-            } else {
-                0
-            };
+            let head = st.catalog.head(d);
             let held_v = st.held_versions.get(&(uid, d)).copied().unwrap_or(head);
             let head_rv = if head > 1 && held_v < head {
-                st.manifests.get(&d).map(|base| {
-                    let rows = st
-                        .version_rows
-                        .get(&d)
-                        .map(|rows| rows.as_slice())
-                        .unwrap_or(&[]);
-                    ResolvedVersion::resolve(base, rows, head)
-                })
+                st.catalog.resolve(d, head)
             } else {
                 None
             };
@@ -867,6 +839,7 @@ impl SimBitdew {
                     };
                     st.scheduler.report_chunk_set(uid, d, &held);
                     let total = st
+                        .catalog
                         .manifests
                         .get(&d)
                         .map(|m| m.chunk_count() as u64)
@@ -1138,7 +1111,7 @@ impl SimBitdew {
             let (manifest, held) = {
                 let st = self.state.borrow();
                 (
-                    st.manifests.get(&data.id).cloned(),
+                    st.catalog.manifests.get(&data.id).cloned(),
                     st.partials
                         .get(&(uid, data.id))
                         .map(|s| s.len() as u32)
@@ -1379,17 +1352,15 @@ impl SimBitdew {
     ) {
         let hook = {
             let mut st = self.state.borrow_mut();
-            let head = st.version_head(data.id);
             if let Some(n) = st.nodes.get_mut(&uid) {
                 n.pending.remove(&data.id);
                 n.cache.insert(data.id);
             }
-            if head > 0 {
-                st.held_versions.insert((uid, data.id), head);
-            }
+            st.note_held(uid, data.id);
             if repair {
                 st.partials.remove(&(uid, data.id));
                 let total = st
+                    .catalog
                     .manifests
                     .get(&data.id)
                     .map(|m| m.chunk_count())
@@ -1431,7 +1402,6 @@ impl SimBitdew {
     ) {
         let hook = {
             let mut st = self.state.borrow_mut();
-            let head = st.version_head(data.id);
             let Some(node) = st.nodes.get_mut(&uid) else {
                 return;
             };
@@ -1439,9 +1409,7 @@ impl SimBitdew {
             match outcome {
                 FlowOutcome::Completed { avg_rate, .. } => {
                     node.cache.insert(data.id);
-                    if head > 0 {
-                        st.held_versions.insert((uid, data.id), head);
-                    }
+                    st.note_held(uid, data.id);
                     self.trace.push(
                         sim.now(),
                         TraceEvent::TransferCompleted {
@@ -1503,11 +1471,6 @@ struct SimNodeShared {
     /// The subscription event bus; [`SimNode::refresh`] publishes into it
     /// as virtual time advances (virtual-time delivery).
     bus: EventBus,
-    /// The legacy `poll_events` queue: an any-filter subscription, capped
-    /// until the first poll proves a consumer exists (mirrors the
-    /// threaded node's `EVENT_QUEUE_CAP` semantics).
-    legacy: EventSub,
-    polled: std::cell::Cell<bool>,
     /// Direct (`get`) transfers: outcome slot plus the datum they carry.
     transfers: RefCell<HashMap<TransferId, (DataId, TransferSlot)>>,
     /// Data whose direct transfer completed (O(1) `read_local` checks).
@@ -1550,8 +1513,6 @@ impl SimNode {
         role: SyncRole,
     ) -> SimNode {
         let uid = driver.add_node_with_role(&mut sim.borrow_mut(), host, start_at, role);
-        let bus = EventBus::new();
-        let legacy = bus.subscribe_capped(EventFilter::any(), crate::runtime::EVENT_QUEUE_CAP);
         SimNode {
             sim: Rc::clone(sim),
             driver: driver.clone(),
@@ -1559,9 +1520,7 @@ impl SimNode {
             host,
             shared: Rc::new(SimNodeShared {
                 seen: RefCell::new(HashMap::new()),
-                bus,
-                legacy,
-                polled: std::cell::Cell::new(false),
+                bus: EventBus::new(),
                 transfers: RefCell::new(HashMap::new()),
                 arrived: RefCell::new(HashSet::new()),
                 unresolved: std::cell::Cell::new(0),
@@ -1638,6 +1597,21 @@ impl SimNode {
         }
     }
 
+    /// Run `f` on the version plane over this node's view of the simulated
+    /// catalog, the driver's version state and its data-space store (held
+    /// outside the driver's `RefCell`, which publishing borrows).
+    fn with_versions<R>(&self, f: impl FnOnce(&VersionPlane<'_, SimNode>) -> R) -> R {
+        let (store, state) = {
+            let st = self.driver.state.borrow();
+            (Rc::clone(&st.store), Rc::clone(&st.versions))
+        };
+        f(&VersionPlane {
+            catalog: self,
+            state: &state,
+            store: &*store,
+        })
+    }
+
     fn virtual_deadline(&self, timeout: Duration) -> SimTime {
         self.sim
             .borrow()
@@ -1682,7 +1656,9 @@ impl BitDewApi for SimNode {
         if data.has_checksum() && bitdew_util::md5::md5(content) != data.checksum {
             return Err(bitdew_transport::TransportError::ChecksumMismatch.into());
         }
-        self.driver.put_content(data.id, content.to_vec())
+        let object = self.driver.registered(data.id)?.object_name();
+        self.driver.state.borrow().store.put(&object, content);
+        Ok(())
     }
 
     fn put_many(&self, items: &[(Data, &[u8])]) -> Result<()> {
@@ -1698,14 +1674,7 @@ impl BitDewApi for SimNode {
         // (Metadata-only modeling still works: `put` an empty payload — a
         // slot has no checksum to violate — and the flow moves `data.size`
         // modeled bytes regardless.)
-        let has_content = self
-            .driver
-            .state
-            .borrow()
-            .space
-            .get(&data.id)
-            .is_some_and(|e| e.content.is_some());
-        if !has_content {
+        if !self.driver.state.borrow().store.exists(&data.object_name()) {
             return Err(BitdewError::CatalogMiss {
                 what: format!("locator for `{}`", data.name),
             });
@@ -1773,80 +1742,40 @@ impl BitDewApi for SimNode {
         }
         // Real bytes when the application `put` them; otherwise the
         // simulation only moved modeled bytes, so synthesize the size.
-        Ok(self
-            .driver
-            .content_of(data.id)
-            .unwrap_or_else(|| vec![0u8; data.size as usize]))
+        Ok(self.driver.read_space(data, 0, usize::MAX))
     }
 
     fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<()> {
         // Chunked data mutates through the version plane: each in-place
         // write becomes a copy-on-write child of the current head. Only
         // un-chunked (legacy) data is patched directly.
-        let head = self.driver.state.borrow().version_head(data.id);
-        if head > 0 {
+        if self.driver.state.borrow().catalog.head(data.id) > 0 {
             return self
-                .commit_update(data, head, &[(offset, content.to_vec())])
+                .with_versions(|v| v.put_range(data, offset, content))
                 .map(|_| ());
         }
-        let mut st = self.driver.state.borrow_mut();
-        let entry = st
-            .space
-            .get_mut(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
+        let object = self.driver.registered(data.id)?.object_name();
+        let store = Rc::clone(&self.driver.state.borrow().store);
         // A metadata-only datum models as `size` zero bytes (read_local /
         // get_range agree); materialize that before patching, or the write
         // would silently truncate everything past it.
-        let size = entry.data.size as usize;
-        let buf = entry.content.get_or_insert_with(|| vec![0u8; size]);
-        let end = offset as usize + content.len();
-        if buf.len() < end {
-            buf.resize(end, 0);
+        if !store.exists(&object) {
+            store.write_at(&object, 0, &vec![0u8; data.size as usize])?;
         }
-        buf[offset as usize..end].copy_from_slice(content);
+        store.write_at(&object, offset, content)?;
         Ok(())
     }
 
     fn get_range(&self, data: &Data, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let st = self.driver.state.borrow();
-        let entry = st
-            .space
-            .get(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
-        match &entry.content {
-            Some(buf) => {
-                let from = (offset as usize).min(buf.len());
-                let to = (from + len).min(buf.len());
-                Ok(buf[from..to].to_vec())
-            }
-            // Metadata-only datum: the modeled bytes are zeros.
-            None => {
-                let size = entry.data.size as usize;
-                let from = (offset as usize).min(size);
-                let to = (from + len).min(size);
-                Ok(vec![0u8; to - from])
-            }
-        }
+        let data = self.driver.registered(data.id)?;
+        Ok(self.driver.read_space(&data, offset, len))
     }
 
     fn put_chunked(&self, data: &Data, content: &[u8], chunk_size: u64) -> Result<ChunkManifest> {
         self.put(data, content)?;
-        let chunk_size = if chunk_size == 0 {
-            DEFAULT_CHUNK_SIZE
-        } else {
-            chunk_size
-        };
         let manifest = ChunkManifest::describe(data.id, chunk_size, content);
         self.driver.put_manifest(&manifest);
-        self.driver
-            .state
-            .borrow_mut()
-            .held_versions
-            .insert((self.uid, data.id), 1);
+        self.driver.state.borrow_mut().note_held(self.uid, data.id);
         Ok(manifest)
     }
 
@@ -1947,150 +1876,19 @@ impl BitDewApi for SimNode {
     }
 
     fn version_head(&self, id: DataId) -> Result<u64> {
-        Ok(self.driver.state.borrow().version_head(id))
+        self.head(id)
     }
 
     fn version_manifest(&self, id: DataId, version: u64) -> Result<Option<VersionedManifest>> {
-        let st = self.driver.state.borrow();
-        if version == 1 {
-            return Ok(st.manifests.get(&id).map(VersionedManifest::from_base));
-        }
-        Ok(st
-            .version_rows
-            .get(&id)
-            .and_then(|rows| rows.iter().find(|r| r.version == version))
-            .cloned())
+        self.with_versions(|v| v.version_manifest(id, version))
     }
 
     fn commit_update(&self, data: &Data, base: u64, writes: &[(u64, Vec<u8>)]) -> Result<u64> {
-        use bitdew_storage::codec::Encode;
-        let mut st = self.driver.state.borrow_mut();
-        let head = st.version_head(data.id);
-        if base == 0 || head == 0 || base > head {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("version {base} of `{}` (head {head})", data.name),
-            });
-        }
-        let resolved =
-            st.resolve_version(data.id, base)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
-        let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
-        let changed_idx: Vec<u32> = by_chunk.keys().copied().collect();
-        let intervening: Vec<Vec<u32>> = st
-            .version_rows
-            .get(&data.id)
-            .map(|rows| {
-                rows.iter()
-                    .filter(|r| r.version > base && r.version <= head)
-                    .map(|r| r.changed_indices())
-                    .collect()
-            })
-            .unwrap_or_default();
-        let version = commit_version(head, base, &changed_idx, intervening)?;
-        // Single-threaded virtual time: no CAS race — apply the commit as
-        // one atomic step against the head's resolution.
-        let head_rv = st.resolve_version(data.id, head).expect("head resolves");
-        let chunk_size = resolved.chunk_size;
-        let total = resolved.total as usize;
-        let entry = st
-            .space
-            .get_mut(&data.id)
-            .ok_or_else(|| BitdewError::CatalogMiss {
-                what: format!("data {}", data.id),
-            })?;
-        let buf = entry.content.get_or_insert_with(|| vec![0u8; total]);
-        if buf.len() < total {
-            buf.resize(total, 0);
-        }
-        let mut changed = Vec::with_capacity(by_chunk.len());
-        let mut preserves: Vec<(u64, u32, Vec<u8>)> = Vec::new();
-        for (&index, segs) in &by_chunk {
-            let off = index as usize * chunk_size as usize;
-            let len = head_rv
-                .descriptor(index)
-                .map(|d| d.len as usize)
-                .unwrap_or(0);
-            let birth = head_rv.birth_of(index).unwrap_or(1);
-            // Preserve the pre-image before patching — snapshot readers
-            // pinned at or before `head` resolve this chunk to `birth`.
-            preserves.push((birth, index, buf[off..off + len].to_vec()));
-            for seg in segs {
-                let bytes = &writes[seg.write].1;
-                let dst = off + seg.chunk_offset;
-                buf[dst..dst + (seg.end - seg.start)].copy_from_slice(&bytes[seg.start..seg.end]);
-            }
-            changed.push(ChunkDescriptor {
-                index,
-                len: len as u32,
-                crc32: bitdew_storage::crc32::crc32(&buf[off..off + len]),
-            });
-        }
-        for (birth, index, pre) in preserves {
-            st.preserved
-                .entry((data.id, birth))
-                .or_default()
-                .entry(index)
-                .or_insert(pre);
-        }
-        let row = VersionedManifest {
-            data: data.id,
-            version,
-            parent: head,
-            chunk_size,
-            total: total as u64,
-            changed,
-        };
-        // Version publication is a small metadata flow: the encoded delta
-        // row inside one SOAP envelope pair.
-        let wire = SIM_SYNC_BASE_BYTES + row.to_bytes().len() as u64;
-        match st.announce.as_mut() {
-            Some(a) => {
-                a.stats.version_publishes += 1;
-                a.stats.version_bytes += wire;
-            }
-            None => {
-                st.tcp_stats.version_publishes += 1;
-                st.tcp_stats.version_bytes += wire;
-            }
-        }
-        st.version_rows.entry(data.id).or_default().push(row);
-        st.held_versions.insert((self.uid, data.id), version);
-        let contended = st.control_contention;
-        drop(st);
-        if contended {
-            // Under contended control the publication's bytes travel the
-            // writer's uplink and the service downlink for real —
-            // fire-and-forget, but occupying link shares while in flight.
-            let mut sim = self.sim.borrow_mut();
-            self.driver.net.start_flow(
-                &mut sim,
-                self.host,
-                self.driver.service_host,
-                wire as f64,
-                SimDuration::ZERO,
-                Box::new(|_, _| {}),
-            );
-        }
-        Ok(version)
+        self.with_versions(|v| v.commit_update(data, base, writes))
     }
 
     fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
-        let st = self.driver.state.borrow();
-        let head = st.version_head(data.id);
-        if head == 0 {
-            return Err(BitdewError::CatalogMiss {
-                what: format!("chunk manifest for `{}`", data.name),
-            });
-        }
-        let pin = SnapshotPin::new(st.pins.clone(), data.id, head);
-        let resolved =
-            st.resolve_version(data.id, head)
-                .ok_or_else(|| BitdewError::CatalogMiss {
-                    what: format!("chunk manifest for `{}`", data.name),
-                })?;
-        Ok(Snapshot::new(resolved, pin))
+        self.with_versions(|v| v.open_snapshot(data))
     }
 
     fn get_range_at(
@@ -2100,98 +1898,59 @@ impl BitDewApi for SimNode {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>> {
-        let st = self.driver.state.borrow();
-        let rv = snap.resolved();
-        let len = len.min(rv.total.saturating_sub(offset) as usize);
-        let end = offset + len as u64;
-        let mut out = Vec::with_capacity(len);
-        for (index, birth) in rv.overlapping(offset, len) {
-            let desc = rv.descriptor(index).expect("overlapping is in range");
-            let chunk_start = index as u64 * rv.chunk_size;
-            let seg_start = offset.max(chunk_start);
-            let seg_end = end.min(chunk_start + desc.len as u64);
-            let seg_len = (seg_end - seg_start) as usize;
-            let within = (seg_start - chunk_start) as usize;
-            let pre = st
-                .preserved
-                .get(&(data.id, birth))
-                .and_then(|chunks| chunks.get(&index));
-            match pre {
-                // Superseded since the snapshot: the preserved pre-image
-                // holds the whole chunk at its canonical offsets.
-                Some(bytes) => out.extend_from_slice(&bytes[within..within + seg_len]),
-                None => {
-                    let entry = st
-                        .space
-                        .get(&data.id)
-                        .ok_or_else(|| BitdewError::CatalogMiss {
-                            what: format!("data {}", data.id),
-                        })?;
-                    match &entry.content {
-                        Some(buf) => {
-                            let from = (seg_start as usize).min(buf.len());
-                            let to = (from + seg_len).min(buf.len());
-                            out.extend_from_slice(&buf[from..to]);
-                            out.resize(out.len() + seg_len - (to - from), 0);
-                        }
-                        // Metadata-only datum: the modeled bytes are zeros.
-                        None => out.resize(out.len() + seg_len, 0),
-                    }
-                }
-            }
-        }
-        Ok(out)
+        self.with_versions(|v| v.get_range_at(data, snap, offset, len))
     }
 
     fn gc_versions(&self, data: &Data) -> Result<GcReport> {
-        let mut st = self.driver.state.borrow_mut();
-        let head = st.version_head(data.id);
-        let mut live_versions: Vec<u64> = st
-            .pins
-            .lock()
-            .iter()
-            .filter(|((d, _), &n)| *d == data.id && n > 0)
-            .map(|((_, v), _)| *v)
-            .collect();
-        if head > 0 {
-            live_versions.push(head);
-        }
-        live_versions.sort_unstable();
-        live_versions.dedup();
-        let live: Vec<ResolvedVersion> = live_versions
-            .iter()
-            .filter_map(|&v| st.resolve_version(data.id, v))
-            .collect();
-        let mut inventory: Vec<(u64, u32, u32)> = Vec::new();
-        for ((d, birth), chunks) in &st.preserved {
-            if *d != data.id {
-                continue;
-            }
-            for (&index, bytes) in chunks {
-                inventory.push((*birth, index, bytes.len() as u32));
-            }
-        }
-        inventory.sort_unstable();
-        let mut report = GcReport {
-            live_versions,
-            ..GcReport::default()
+        self.with_versions(|v| v.gc_versions(data))
+    }
+}
+
+/// The simulator's version catalog, seen from a writing node: publishing a
+/// row is what virtual time charges — the encoded row inside one SOAP
+/// envelope pair on the sync counters and, under contended control, a
+/// real flow from the writer to the service host.
+impl VersionCatalog for SimNode {
+    fn head(&self, id: DataId) -> Result<u64> {
+        Ok(self.driver.state.borrow().catalog.head(id))
+    }
+
+    fn resolve(&self, id: DataId, version: u64) -> Result<Option<ResolvedVersion>> {
+        Ok(self.driver.state.borrow().catalog.resolve(id, version))
+    }
+
+    fn publish(&self, row: &VersionedManifest) -> Result<VersionedManifest> {
+        let mut guard = self.driver.state.borrow_mut();
+        let st = &mut *guard;
+        let committed = commit_row(st.catalog.head(row.data), st.catalog.rows(row.data), row)?;
+        let wire = SIM_SYNC_BASE_BYTES + committed.to_bytes().len() as u64;
+        let stats = match st.announce.as_mut() {
+            Some(a) => &mut a.stats,
+            None => &mut st.tcp_stats,
         };
-        for (birth, index, len) in gc_plan(&live, &inventory) {
-            let Some(chunks) = st.preserved.get_mut(&(data.id, birth)) else {
-                continue;
-            };
-            if chunks.remove(&index).is_some() {
-                report.chunks_reclaimed += 1;
-                report.bytes_reclaimed += len as u64;
-                // Pre-image objects are per-chunk on the threaded backend;
-                // the sim reports the same object-per-chunk accounting.
-                report.objects_removed += 1;
-                if chunks.is_empty() {
-                    st.preserved.remove(&(data.id, birth));
-                }
-            }
+        stats.version_publishes += 1;
+        stats.version_bytes += wire;
+        st.catalog
+            .rows
+            .entry(row.data)
+            .or_default()
+            .push(committed.clone());
+        st.held_versions
+            .insert((self.uid, row.data), committed.version);
+        let contended = st.control_contention;
+        drop(guard);
+        if contended {
+            // Fire-and-forget, but occupying link shares while in flight.
+            self.driver.net.start_flow(
+                &mut self.sim.borrow_mut(),
+                self.host,
+                self.driver.service_host,
+                wire as f64,
+                SimDuration::ZERO,
+                Box::new(|_, _| {}),
+            );
         }
-        Ok(report)
+        Ok(committed)
     }
 }
 
@@ -2278,14 +2037,6 @@ impl ActiveData for SimNode {
 
     fn remove_handler(&self, id: HandlerId) {
         self.shared.bus.detach(id);
-    }
-
-    fn poll_events(&self) -> Vec<DataEvent> {
-        self.refresh();
-        if !self.shared.polled.replace(true) {
-            self.shared.legacy.uncap();
-        }
-        self.shared.legacy.drain()
     }
 
     fn host_uid(&self) -> HostUid {
@@ -2614,6 +2365,8 @@ mod tests {
     fn sim_node_schedule_barrier_and_events() {
         let (_sim, _bd, nodes) = harness(2, 21);
         let client = &nodes[0];
+        let client_events = client.subscribe(EventFilter::any());
+        let worker_events = nodes[1].subscribe(EventFilter::any());
         let content = vec![5u8; 1_000_000];
         let data = client.create_data("spread", &content).unwrap();
         client.put(&data, &content).unwrap();
@@ -2621,7 +2374,7 @@ mod tests {
             .schedule(&data, DataAttributes::default().with_replica(2))
             .unwrap();
         // The scheduling node sees a Create event immediately.
-        let kinds: Vec<DataEventKind> = client.poll_events().iter().map(|e| e.kind).collect();
+        let kinds: Vec<DataEventKind> = client_events.drain().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![DataEventKind::Create]);
 
         // Barrier advances virtual time until both replicas landed.
@@ -2629,7 +2382,7 @@ mod tests {
         nodes[1].barrier(Duration::from_secs(60)).unwrap();
         assert!(nodes.iter().all(|n| n.has_cached(data.id)));
         // Arrival surfaced as a Copy event with the real content readable.
-        let evs = nodes[1].poll_events();
+        let evs = worker_events.drain();
         assert!(evs
             .iter()
             .any(|e| e.kind == DataEventKind::Copy && e.data.id == data.id));
@@ -2641,8 +2394,8 @@ mod tests {
             nodes[1].pump().unwrap();
         }
         assert!(!nodes[1].has_cached(data.id));
-        assert!(nodes[1]
-            .poll_events()
+        assert!(worker_events
+            .drain()
             .iter()
             .any(|e| e.kind == DataEventKind::Delete && e.data.id == data.id));
     }

@@ -40,13 +40,17 @@
 //!   chunk `(birth b, index i)` is live iff some live version (the head
 //!   or a pinned snapshot) still resolves chunk `i` to birth `b`;
 //!   everything else is reclaimed.
+//! * `VersionPlane` — commit, snapshot read and GC, written once over a
+//!   backend's `VersionCatalog` (head, resolve, publish a row), the shared
+//!   [`VersionState`] and a [`FileStore`] holding the canonical bytes and
+//!   the per-chunk pre-images.
 //!
 //! Both deployments drive the same logic: the threaded
-//! [`BitdewNode`](crate::BitdewNode) persists rows through the sharded
-//! catalog and preserves pre-images in the repository store, the
-//! simulator keeps them in its modeled space and charges version
-//! publication as small metadata flows — the proptest suite in
-//! `tests/version_plane.rs` runs the same interleavings against both.
+//! [`BitdewNode`](crate::BitdewNode) over its sharded catalog and
+//! repository store, the simulator over its in-memory chain and modeled
+//! data space — adding only the publication's wire bytes and, under
+//! contended control, its flow. `tests/version_plane.rs` checks both
+//! return identical rows and GC reports for the same write batches.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -55,10 +59,11 @@ use bytes::{Bytes, BytesMut};
 use parking_lot::Mutex;
 
 use bitdew_storage::codec::{decode_vec, encode_vec, CodecError, Decode, Encode};
+use bitdew_transport::{FileStore, StoreError};
 
 use crate::api::{BitdewError, Result};
 use crate::chunks::{ChunkDescriptor, ChunkManifest};
-use crate::data::DataId;
+use crate::data::{Data, DataId};
 
 /// Magic prefix of a [`VersionedManifest`] row. A PR 3 [`ChunkManifest`]
 /// row starts with a raw [`DataId`] instead, which is how
@@ -280,6 +285,30 @@ pub fn commit_version(
     Ok(head + 1)
 }
 
+/// The head CAS over one datum's chain: `row` was written against
+/// `row.parent`, `rows` are the committed delta rows (ascending) and
+/// `head` the current head. Runs [`commit_version`] against the changed
+/// sets of every row in `(parent, head]` and returns `row` as it commits —
+/// version `head + 1`, parent `head`.
+pub(crate) fn commit_row(
+    head: u64,
+    rows: &[VersionedManifest],
+    row: &VersionedManifest,
+) -> Result<VersionedManifest> {
+    let mut changed = row.changed_indices();
+    changed.sort_unstable();
+    let intervening = rows
+        .iter()
+        .filter(|r| r.version > row.parent && r.version <= head)
+        .map(|r| r.changed_indices());
+    let version = commit_version(head, row.parent, &changed, intervening)?;
+    Ok(VersionedManifest {
+        version,
+        parent: head,
+        ..row.clone()
+    })
+}
+
 /// Of the chunks a stale-version holder announced (`held`, head indices),
 /// the subset still byte-identical at the head: chunks whose birth in the
 /// head's resolution is ≤ the holder's `announced` version. The announce
@@ -381,7 +410,7 @@ pub fn gc_plan(live: &[ResolvedVersion], preserved: &[(u64, u32, u32)]) -> Vec<(
 }
 
 /// The shared registry of open snapshot pins: `(datum, version)` →
-/// open-snapshot count. Both backends consult it in their GC sweep.
+/// open-snapshot count, consulted by the GC sweep.
 pub type PinRegistry = Arc<Mutex<HashMap<(DataId, u64), usize>>>;
 
 /// A reference-counted hold on one version, released on drop. Carried by
@@ -426,8 +455,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Pair a resolution with its registry pin (backends construct this in
-    /// their `open_snapshot`).
+    /// Pair a resolution with its registry pin.
     pub fn new(resolved: ResolvedVersion, pin: SnapshotPin) -> Snapshot {
         Snapshot {
             resolved,
@@ -471,8 +499,9 @@ type PreservedLedger = HashMap<DataId, HashMap<u64, HashMap<u32, Preserved>>>;
 type ChunkLocks = HashMap<(DataId, u32), Arc<Mutex<()>>>;
 
 /// The mutable version-plane state a deployment shares across its nodes:
-/// per-datum head cache, the snapshot [`PinRegistry`], and (on the
-/// threaded backend) the claim/ready ledger of preserved pre-image chunks.
+/// per-datum head cache, the snapshot [`PinRegistry`], the claim/ready
+/// ledger of preserved pre-image chunks, per-chunk commit locks and the
+/// settled birth of every canonical chunk.
 ///
 /// The preservation protocol is first-claimer-copies: a committing writer
 /// [`claim_preserve`](VersionState::claim_preserve)s every chunk it is
@@ -516,14 +545,9 @@ impl VersionState {
         self.commit.lock()
     }
 
-    /// The shared snapshot pin registry.
-    pub fn pins(&self) -> PinRegistry {
-        Arc::clone(&self.pins)
-    }
-
     /// Open a pin on `(id, version)`.
     pub fn pin(&self, id: DataId, version: u64) -> SnapshotPin {
-        SnapshotPin::new(self.pins(), id, version)
+        SnapshotPin::new(Arc::clone(&self.pins), id, version)
     }
 
     /// Versions of `id` open snapshots currently pin, ascending.
@@ -596,9 +620,9 @@ impl VersionState {
         out
     }
 
-    /// Drop a reclaimed pre-image chunk from the ledger; returns `true`
-    /// when birth `version` has no preserved chunks left (its preservation
-    /// object can be removed from the store).
+    /// Drop a reclaimed pre-image chunk from the ledger (its per-chunk
+    /// [`versioned_object`] is already gone from the store); returns
+    /// `true` when birth `version` has no preserved chunks left.
     pub fn reclaim(&self, id: DataId, version: u64, index: u32) -> bool {
         let mut preserved = self.preserved.lock();
         let Some(by_version) = preserved.get_mut(&id) else {
@@ -657,13 +681,325 @@ impl VersionState {
             .insert(index, version);
     }
 
-    /// Forget every trace of `id` (the delete path).
+    /// The delete path: remove every preserved pre-image object of `data`
+    /// from `store`, then [`forget`](VersionState::forget) the datum.
+    pub(crate) fn purge(&self, store: &dyn FileStore, data: &Data) {
+        let object = data.object_name();
+        for (birth, index, _) in self.preserved_inventory(data.id) {
+            let _ = store.remove(&versioned_object(&object, birth, index));
+        }
+        self.forget(data.id);
+    }
+
+    /// Forget every trace of `id`.
     pub fn forget(&self, id: DataId) {
         self.heads.lock().remove(&id);
         self.preserved.lock().remove(&id);
         self.settled.lock().remove(&id);
         self.chunk_locks.lock().retain(|(d, _), _| *d != id);
         self.pins.lock().retain(|(d, _), _| *d != id);
+    }
+}
+
+/// A backend's version catalog, the seam [`VersionPlane`] runs over:
+/// [`ShardedPlane`](crate::ShardedPlane) keeps the chain in its catalog
+/// shards, the simulator in memory.
+pub(crate) trait VersionCatalog {
+    /// The datum's head version: 0 with no published manifest, 1 with
+    /// only the base, the last delta row's id once versions committed.
+    fn head(&self, id: DataId) -> Result<u64>;
+    /// `version` of the datum resolved through its chain
+    /// ([`ResolvedVersion::resolve`]); `None` with no published manifest.
+    fn resolve(&self, id: DataId, version: u64) -> Result<Option<ResolvedVersion>>;
+    /// Append `row` through the head CAS ([`commit_row`]) and return it as
+    /// committed.
+    fn publish(&self, row: &VersionedManifest) -> Result<VersionedManifest>;
+}
+
+/// The version plane's write and read faces, written once for both
+/// backends: copy-on-write commits, pinned snapshot reads and the
+/// refcounted GC sweep over a [`VersionCatalog`], the shared
+/// [`VersionState`] and the [`FileStore`] holding a datum's canonical
+/// bytes (under [`Data::object_name`]) and its per-chunk pre-images
+/// (under [`versioned_object`]).
+pub(crate) struct VersionPlane<'a, C: ?Sized> {
+    /// Heads, resolutions and the publish CAS.
+    pub(crate) catalog: &'a C,
+    /// Pins, preserve ledger, chunk locks and settled births.
+    pub(crate) state: &'a VersionState,
+    /// Canonical bytes and pre-image objects.
+    pub(crate) store: &'a dyn FileStore,
+}
+
+/// Append `len` bytes of `name` from `offset` to `out`, zero-filled past
+/// the object's end: a chunk never written — or the object of a datum
+/// never `put` — reads as zeros.
+fn read_filled(
+    store: &dyn FileStore,
+    name: &str,
+    offset: u64,
+    len: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let start = out.len();
+    match store.read_at(name, offset, len) {
+        Ok(bytes) => out.extend_from_slice(&bytes),
+        Err(StoreError::NotFound(_) | StoreError::OutOfRange) => {}
+        Err(e) => return Err(e.into()),
+    }
+    out.resize(start + len, 0);
+    Ok(())
+}
+
+impl<C: VersionCatalog + ?Sized> VersionPlane<'_, C> {
+    fn resolved(&self, data: &Data, version: u64) -> Result<ResolvedVersion> {
+        self.catalog
+            .resolve(data.id, version)?
+            .ok_or_else(|| BitdewError::CatalogMiss {
+                what: format!("chunk manifest for `{}`", data.name),
+            })
+    }
+
+    /// One row of the datum's version chain (1 = the base manifest), read
+    /// back from the chain's resolution: version `v` changed exactly the
+    /// chunks whose birth it is, and every commit's parent is `v - 1`.
+    pub(crate) fn version_manifest(
+        &self,
+        id: DataId,
+        version: u64,
+    ) -> Result<Option<VersionedManifest>> {
+        if version == 0 || version > self.catalog.head(id)? {
+            return Ok(None);
+        }
+        Ok(self
+            .catalog
+            .resolve(id, version)?
+            .map(|rv| VersionedManifest {
+                data: id,
+                version,
+                parent: version - 1,
+                chunk_size: rv.chunk_size,
+                total: rv.total,
+                changed: rv
+                    .chunks
+                    .iter()
+                    .filter(|&&(_, birth)| birth == version)
+                    .map(|&(desc, _)| desc)
+                    .collect(),
+            }))
+    }
+
+    /// Commit `writes` against version `base` of a chunked datum. Only
+    /// the chunks the writes touch are read back, patched and re-digested;
+    /// their pre-images are preserved under per-chunk
+    /// `object@v{birth}.c{index}` names before the head CAS publishes the
+    /// new [`VersionedManifest`] row and the canonical bytes move. Returns
+    /// the committed version id; a retryable
+    /// [`BitdewError::VersionConflict`] means a concurrent writer touched
+    /// one of the same chunks first.
+    pub(crate) fn commit_update(
+        &self,
+        data: &Data,
+        base: u64,
+        writes: &[(u64, Vec<u8>)],
+    ) -> Result<u64> {
+        let head = self.catalog.head(data.id)?;
+        if base == 0 || base > head {
+            return Err(BitdewError::CatalogMiss {
+                what: format!("version {base} of `{}` (head {head})", data.name),
+            });
+        }
+        let resolved = self.resolved(data, base)?;
+        let by_chunk = split_writes(resolved.chunk_size, resolved.total, writes)?;
+        let (id, object) = (data.id, data.object_name());
+
+        // Take the per-chunk commit locks in ascending index order:
+        // disjoint writers proceed in parallel, same-chunk writers
+        // serialize here instead of racing the byte I/O.
+        let locks: Vec<_> = by_chunk
+            .keys()
+            .map(|&i| self.state.chunk_lock(id, i))
+            .collect();
+        let _guards: Vec<_> = locks.iter().map(|l| l.lock()).collect();
+
+        // Under the locks the canonical bytes of every touched chunk are
+        // settled; if any chunk's settled birth is newer than what `base`
+        // resolves, a later version already rewrote it — conflict now,
+        // before any byte moves.
+        let mut touched = Vec::with_capacity(by_chunk.len());
+        for (&index, segments) in &by_chunk {
+            let &(desc, birth) =
+                resolved
+                    .chunks
+                    .get(index as usize)
+                    .ok_or_else(|| BitdewError::CatalogMiss {
+                        what: format!("chunk {index} of `{}`", data.name),
+                    })?;
+            if self.state.settled_birth(id, index) != birth {
+                return Err(BitdewError::VersionConflict {
+                    head,
+                    attempted: base,
+                });
+            }
+            touched.push((index, desc, birth, segments));
+        }
+
+        let mut changed = Vec::with_capacity(touched.len());
+        let mut patched_chunks = Vec::with_capacity(touched.len());
+        for (index, desc, birth, segments) in touched {
+            let chunk_off = index as u64 * resolved.chunk_size;
+            let mut patched = Vec::with_capacity(desc.len as usize);
+            read_filled(
+                self.store,
+                &object,
+                chunk_off,
+                desc.len as usize,
+                &mut patched,
+            )?;
+            // Preserve the pre-image before anything overwrites it. The
+            // claim is idempotent: if an earlier (conflicted or committed)
+            // writer already copied birth's bytes, that copy is still
+            // valid — canonical chunk bytes only move under this lock.
+            if self.state.claim_preserve(id, birth, index, desc.len) {
+                self.store
+                    .write_at(&versioned_object(&object, birth, index), 0, &patched)?;
+                self.state.mark_preserved(id, birth, index);
+            }
+            for seg in segments {
+                let (_, bytes) = &writes[seg.write];
+                patched[seg.chunk_offset..seg.chunk_offset + (seg.end - seg.start)]
+                    .copy_from_slice(&bytes[seg.start..seg.end]);
+            }
+            changed.push(ChunkDescriptor {
+                index,
+                len: desc.len,
+                crc32: bitdew_storage::crc32::crc32(&patched),
+            });
+            patched_chunks.push((index, chunk_off, patched));
+        }
+
+        // Publish through the head CAS. With the chunk locks held this can
+        // only conflict against a writer that bypassed the plane.
+        let committed = self.catalog.publish(&VersionedManifest {
+            data: id,
+            version: base + 1,
+            parent: base,
+            chunk_size: resolved.chunk_size,
+            total: resolved.total,
+            changed,
+        })?;
+
+        // Only a committed writer moves the canonical bytes; settle each
+        // chunk at the new version before the locks release.
+        for (index, chunk_off, bytes) in patched_chunks {
+            self.store.write_at(&object, chunk_off, &bytes)?;
+            self.state.settle(id, index, committed.version);
+        }
+        Ok(committed.version)
+    }
+
+    /// The version-creating range write on a chunked datum: commit against
+    /// the current head, re-reading it on
+    /// [`BitdewError::VersionConflict`] — concurrent non-overlapping
+    /// writers commit independently, overlapping writers serialize
+    /// last-writer-wins. Returns the committed version.
+    pub(crate) fn put_range(&self, data: &Data, offset: u64, content: &[u8]) -> Result<u64> {
+        let writes = [(offset, content.to_vec())];
+        loop {
+            match self.commit_update(data, self.catalog.head(data.id)?, &writes) {
+                Err(BitdewError::VersionConflict { .. }) => continue,
+                done => return done,
+            }
+        }
+    }
+
+    /// Open a [`Snapshot`] pinned to the datum's current head version:
+    /// reads through it see the datum as of this call no matter how many
+    /// versions commit afterwards, and the pin keeps its pre-image chunks
+    /// from [`gc_versions`](VersionPlane::gc_versions) until it drops.
+    pub(crate) fn open_snapshot(&self, data: &Data) -> Result<Snapshot> {
+        let head = self.catalog.head(data.id)?;
+        let pin = self.state.pin(data.id, head);
+        Ok(Snapshot::new(self.resolved(data, head)?, pin))
+    }
+
+    /// Read bytes `[offset, offset+len)` of `data` *as of* `snap`'s pinned
+    /// version (short only at EOF). Each overlapping chunk resolves
+    /// through the version tree: a chunk superseded since the snapshot
+    /// reads from its preserved per-chunk pre-image object, an unchanged
+    /// chunk from the shared canonical object — with a preserve re-check
+    /// after the canonical read, so a commit racing this read can never
+    /// leak post-snapshot bytes.
+    pub(crate) fn get_range_at(
+        &self,
+        data: &Data,
+        snap: &Snapshot,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>> {
+        let rv = snap.resolved();
+        let len = len.min(rv.total.saturating_sub(offset) as usize);
+        let (id, object) = (data.id, data.object_name());
+        let end = offset + len as u64;
+        let mut out = Vec::with_capacity(len);
+        for (index, birth) in rv.overlapping(offset, len) {
+            let chunk_start = index as u64 * rv.chunk_size;
+            let seg_start = offset.max(chunk_start);
+            let seg_len = (end.min(chunk_start + rv.chunk_size) - seg_start) as usize;
+            // Pre-image objects hold only their chunk's bytes, offset 0.
+            let within = seg_start - chunk_start;
+            let preimage = || versioned_object(&object, birth, index);
+            if self.state.is_preserved(id, birth, index) {
+                out.extend_from_slice(&self.store.read_at(&preimage(), within, seg_len)?);
+                continue;
+            }
+            let mark = out.len();
+            read_filled(self.store, &object, seg_start, seg_len, &mut out)?;
+            if self.state.is_preserved(id, birth, index) {
+                // A commit preserved (and possibly overwrote) the chunk
+                // while we read it — the pre-image is authoritative.
+                out.truncate(mark);
+                out.extend_from_slice(&self.store.read_at(&preimage(), within, seg_len)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Reference-counted GC sweep over the datum's preserved pre-image
+    /// chunks: everything unreachable from the head and from every open
+    /// snapshot is reclaimed. Each chunk's pre-image object is removed
+    /// first and the chunk reclaimed and counted only once that succeeds;
+    /// a chunk whose removal failed stays in the ledger for the next
+    /// sweep.
+    pub(crate) fn gc_versions(&self, data: &Data) -> Result<GcReport> {
+        // No commits move the head (or preserve new chunks) mid-sweep.
+        let _commit = self.state.commit_lock();
+        let head = self.catalog.head(data.id)?;
+        let mut live_versions = self.state.pinned(data.id);
+        if head > 0 && !live_versions.contains(&head) {
+            live_versions.push(head);
+            live_versions.sort_unstable();
+        }
+        let mut live = Vec::with_capacity(live_versions.len());
+        for &v in &live_versions {
+            live.extend(self.catalog.resolve(data.id, v)?);
+        }
+        let object = data.object_name();
+        let mut report = GcReport {
+            live_versions,
+            ..GcReport::default()
+        };
+        for (birth, index, len) in gc_plan(&live, &self.state.preserved_inventory(data.id)) {
+            let preimage = versioned_object(&object, birth, index);
+            if self.store.remove(&preimage).is_err() {
+                continue; // still in the ledger: the next sweep retries it
+            }
+            self.state.reclaim(data.id, birth, index);
+            report.chunks_reclaimed += 1;
+            report.bytes_reclaimed += len as u64;
+            report.objects_removed += 1;
+        }
+        Ok(report)
     }
 }
 

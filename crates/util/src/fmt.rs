@@ -1,8 +1,8 @@
 //! Human-readable formatting helpers for the experiment harnesses.
 //!
 //! The paper quotes file sizes in MB (decimal, as networking papers do) and
-//! durations in seconds; these helpers keep the harness output in the same
-//! units so EXPERIMENTS.md lines up with the original tables.
+//! durations in seconds; these helpers keep the bench binaries' output
+//! (`crates/bench/src/bin`) in the same units as the original tables.
 
 /// Bytes per decimal megabyte, the unit used throughout the paper.
 pub const MB: u64 = 1_000_000;
@@ -65,8 +65,8 @@ pub fn rate(bytes_per_sec: f64) -> String {
     }
 }
 
-/// Render a markdown-style table; used by every bench binary so table output
-/// can be pasted straight into EXPERIMENTS.md.
+/// Render a markdown-style table; used by every bench binary so its output
+/// reads like the paper's tables.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -15,8 +15,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use bitdew::core::api::BitDewApi;
+use bitdew::core::chunks::ChunkDescriptor;
 use bitdew::core::simdriver::{SimBitdew, SimNode};
-use bitdew::core::versions::Snapshot;
+use bitdew::core::versions::{GcReport, Snapshot};
 use bitdew::core::{BitdewError, BitdewNode, Data, RuntimeConfig, ServiceContainer};
 use bitdew::sim::{topology, Sim, SimDuration, SimTime, Trace};
 
@@ -275,7 +276,8 @@ fn handle_surface_exposes_versions_without_node_internals() {
 
 // ---------------------------------------------------------------------------
 // Property: random write batches — commit-vs-model equivalence plus
-// snapshot consistency, on both backends.
+// snapshot consistency on each backend, and row-for-row, report-for-report
+// agreement between the two.
 // ---------------------------------------------------------------------------
 
 /// A batch of 1–3 in-range writes, each a filled run of 1–3000 bytes.
@@ -284,6 +286,11 @@ fn write_batches() -> impl Strategy<Value = Vec<Vec<(u64, Vec<u8>)>>> {
         .prop_map(|(off, len, fill)| (off, vec![fill; len]));
     proptest::collection::vec(proptest::collection::vec(write, 1..4), 1..6)
 }
+
+/// Every version's row (1 through the head) as `(version, parent,
+/// changed descriptors)` — the datum id differs per backend — and every
+/// GC report of one [`random_batches_scenario`] run, in order.
+type PlaneTrace = (Vec<(u64, u64, Vec<ChunkDescriptor>)>, Vec<GcReport>);
 
 /// Apply every batch through `commit_update` (with retry) against a model,
 /// pinning a snapshot before batch `snap_at`; check head reads, snapshot
@@ -294,7 +301,8 @@ fn random_batches_scenario<N: BitDewApi + ?Sized>(
     content: &[u8],
     batches: &[Vec<(u64, Vec<u8>)>],
     snap_at: usize,
-) {
+) -> PlaneTrace {
+    let mut reports = Vec::new();
     let mut model = content.to_vec();
     let mut pinned: Option<(Snapshot, Vec<u8>)> = None;
     for (i, batch) in batches.iter().enumerate() {
@@ -308,17 +316,47 @@ fn random_batches_scenario<N: BitDewApi + ?Sized>(
     if let Some((snap, expect)) = &pinned {
         assert_eq!(&node.get_range_at(data, snap, 0, TOTAL).unwrap(), expect);
         // The sweep with the pin held must not disturb the snapshot.
-        node.gc_versions(data).unwrap();
+        reports.push(node.gc_versions(data).unwrap());
         assert_eq!(&node.get_range_at(data, snap, 0, TOTAL).unwrap(), expect);
     }
     drop(pinned);
-    node.gc_versions(data).unwrap();
-    assert_eq!(
-        node.gc_versions(data).unwrap().chunks_reclaimed,
-        0,
-        "sweep converged"
-    );
+    reports.push(node.gc_versions(data).unwrap());
+    let converged = node.gc_versions(data).unwrap();
+    assert_eq!(converged.chunks_reclaimed, 0, "sweep converged");
+    reports.push(converged);
     assert_eq!(node.get_range(data, 0, TOTAL).unwrap(), model);
+    let rows = (1..=node.version_head(data.id).unwrap())
+        .map(|v| {
+            let row = node.version_manifest(data.id, v).unwrap().expect("row");
+            (row.version, row.parent, row.changed)
+        })
+        .collect();
+    (rows, reports)
+}
+
+fn threaded_batches(batches: &[Vec<(u64, Vec<u8>)>], snap_at: usize) -> PlaneTrace {
+    let c = ServiceContainer::start(RuntimeConfig::default());
+    let client = BitdewNode::new_client(Arc::clone(&c));
+    let content = payload(TOTAL);
+    let data = client.create_slot("prop-blob", TOTAL as u64).unwrap();
+    client.put_chunked(&data, &content, CHUNK).unwrap();
+    random_batches_scenario(client.as_ref(), &data, &content, batches, snap_at)
+}
+
+fn sim_batches(batches: &[Vec<(u64, Vec<u8>)>], snap_at: usize) -> PlaneTrace {
+    let topo = topology::gdx_cluster(1);
+    let sim = Rc::new(RefCell::new(Sim::new(52)));
+    let driver = SimBitdew::new(
+        topo.net.clone(),
+        topo.service,
+        SimDuration::from_secs(1),
+        Trace::new(),
+    );
+    let node = SimNode::attach_client(&sim, &driver, topo.workers[0], SimTime::ZERO);
+    let content = payload(TOTAL);
+    let data = node.create_slot("prop-blob", TOTAL as u64).unwrap();
+    node.put_chunked(&data, &content, CHUNK).unwrap();
+    random_batches_scenario(&node, &data, &content, batches, snap_at)
 }
 
 proptest! {
@@ -326,28 +364,19 @@ proptest! {
 
     #[test]
     fn prop_threaded_commits_match_model(batches in write_batches(), snap_at in 0usize..6) {
-        let c = ServiceContainer::start(RuntimeConfig::default());
-        let client = BitdewNode::new_client(Arc::clone(&c));
-        let content = payload(TOTAL);
-        let data = client.create_slot("prop-blob", TOTAL as u64).unwrap();
-        client.put_chunked(&data, &content, CHUNK).unwrap();
-        random_batches_scenario(client.as_ref(), &data, &content, &batches, snap_at);
+        threaded_batches(&batches, snap_at);
     }
 
     #[test]
     fn prop_sim_commits_match_model(batches in write_batches(), snap_at in 0usize..6) {
-        let topo = topology::gdx_cluster(1);
-        let sim = Rc::new(RefCell::new(Sim::new(52)));
-        let driver = SimBitdew::new(
-            topo.net.clone(),
-            topo.service,
-            SimDuration::from_secs(1),
-            Trace::new(),
-        );
-        let node = SimNode::attach_client(&sim, &driver, topo.workers[0], SimTime::ZERO);
-        let content = payload(TOTAL);
-        let data = node.create_slot("prop-blob", TOTAL as u64).unwrap();
-        node.put_chunked(&data, &content, CHUNK).unwrap();
-        random_batches_scenario(&node, &data, &content, &batches, snap_at);
+        sim_batches(&batches, snap_at);
+    }
+
+    #[test]
+    fn prop_backends_agree_on_rows_and_gc(batches in write_batches(), snap_at in 0usize..6) {
+        let (threaded_rows, threaded_gc) = threaded_batches(&batches, snap_at);
+        let (sim_rows, sim_gc) = sim_batches(&batches, snap_at);
+        prop_assert_eq!(threaded_rows, sim_rows);
+        prop_assert_eq!(threaded_gc, sim_gc);
     }
 }
